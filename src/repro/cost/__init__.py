@@ -23,9 +23,15 @@ as cache-friendly pure functions with memoization at three levels:
 - **timings** (:mod:`repro.cost.operator_models` behind
   :mod:`repro.cost.timing_cache`): pure in ``(pipeline, dop,
   overrides)``; memoized in weak per-pipeline dictionaries so entries
-  die with their plan.  The DOP planner's incremental coster then
-  re-times only the pipeline a candidate move changed, and its batched
-  greedy rounds price a whole round of candidate moves with one lean
+  die with their plan.  Override mappings whose volumes are bit-equal
+  to the plan-time volumes share the plan-time timing, so a DOP-monitor
+  replan re-times only the pipelines whose data flow it changed.  One
+  timing is one loop over the per-operator kernel
+  (``OperatorModels._op_cost``); the per-operator breakdown
+  ``PipelineTiming.op_times`` is built only when read.  The DOP
+  planner's incremental coster then re-times only the pipeline a
+  candidate move changed, and its batched greedy rounds price a whole
+  round of candidate moves with one lean
   :class:`repro.cost.query_simulator.ScheduleSweeper` pass (plus a
   critical-path prune that skips candidates provably unable to reduce
   latency) instead of per-candidate full schedules.
@@ -52,7 +58,9 @@ mapping, so new observations never see stale numbers; catalog mutations
 bump ``Catalog.version``, which invalidates exact, skeleton, and
 binding entries by construction; ``CostEstimator.invalidate_caches()``
 handles the one out-of-band case (hardware/exchange recalibration).
-Caching is bit-identical to the uncached path — enforced by
+Caching is bit-identical to the uncached path, and the kernel to the
+original per-operator arithmetic — enforced by
+``tests/cost/test_timing_oracle.py``,
 ``tests/cost/test_estimation_parity.py`` (including literal-varying
 skeleton reuse and batched-vs-per-candidate DOP rounds) and the A/B
 guard in ``benchmarks/bench_optimizer_throughput.py``.

@@ -32,6 +32,7 @@ from repro.plan.physical import (
 )
 from repro.plan.pipelines import (
     Pipeline,
+    PipelineOp,
     ROLE_BUILD,
     ROLE_PROBE,
     ROLE_SINK_AGG,
@@ -52,14 +53,84 @@ class OpTime:
     label: str
 
 
-@dataclass
 class PipelineTiming:
-    """Predicted duration of one pipeline at one DOP."""
+    """Predicted duration of one pipeline at one DOP.
 
-    duration: float
-    bottleneck: str
-    op_times: list[OpTime]
-    source_rows: float
+    ``duration``, ``bottleneck`` and ``source_rows`` are computed eagerly;
+    the per-operator breakdown ``op_times`` is built on first access
+    (only per-operator attribution reads it) from the volumes and DOP the
+    timing was computed from, with the same kernel, so it is identical
+    to an eager breakdown.
+
+    A timing holds its ``volumes`` list and its :class:`OperatorModels`,
+    never its :class:`Pipeline`: timings are cached as values of a
+    ``WeakKeyDictionary`` keyed by the pipeline, and a value that
+    references its key keeps that key alive forever.
+    """
+
+    __slots__ = (
+        "duration",
+        "bottleneck",
+        "source_rows",
+        "_volumes",
+        "_dop",
+        "_models",
+        "_op_times",
+    )
+
+    def __init__(
+        self,
+        duration: float,
+        bottleneck: str,
+        source_rows: float,
+        volumes: list[OpVolume],
+        dop: int,
+        models: "OperatorModels",
+    ) -> None:
+        self.duration = duration
+        self.bottleneck = bottleneck
+        self.source_rows = source_rows
+        self._volumes = volumes
+        self._dop = dop
+        self._models = models
+        self._op_times: list[OpTime] | None = None
+
+    @property
+    def op_times(self) -> list[OpTime]:
+        """Per-operator :class:`OpTime`s, in pipeline order."""
+        if self._op_times is None:
+            volumes = self._volumes
+            ops = [volume.op for volume in volumes]
+            op_cost = self._models._op_cost
+            self._op_times = [
+                OpTime(*op_cost(volume, self._dop, ops, index), _op_label(volume.op))
+                for index, volume in enumerate(volumes)
+            ]
+        return self._op_times
+
+    def __repr__(self) -> str:
+        return (
+            f"PipelineTiming(duration={self.duration!r}, "
+            f"bottleneck={self.bottleneck!r}, source_rows={self.source_rows!r})"
+        )
+
+
+def _op_label(op: PipelineOp) -> str:
+    """``describe()[role]`` of one operator occurrence, cached per node.
+
+    The label is pure presentation; caching it on the node keeps
+    ``describe()`` from being re-rendered for every timing.
+    """
+    node = op.node
+    labels = node.__dict__.get("_op_labels")
+    if labels is None:
+        labels = {}
+        node.__dict__["_op_labels"] = labels
+    label = labels.get(op.role)
+    if label is None:
+        label = f"{node.describe()}[{op.role}]"
+        labels[op.role] = label
+    return label
 
 
 class OperatorModels:
@@ -94,7 +165,9 @@ class OperatorModels:
         is enabled; the cached object is shared, treat it as read-only.
         """
         if self.cache is None:
-            return self._compute_timing(pipeline, dop, overrides)
+            return self._compute_timing(
+                pipeline, dop, pipeline_volumes(pipeline, dop, overrides)
+            )
         return self.cache.timing(pipeline, dop, overrides, self._compute_timing)
 
     def invalidate_cache(self) -> None:
@@ -103,31 +176,35 @@ class OperatorModels:
             self.cache.invalidate()
 
     def _compute_timing(
-        self,
-        pipeline: Pipeline,
-        dop: int,
-        overrides: dict[int, float] | None,
+        self, pipeline: Pipeline, dop: int, volumes: list[OpVolume]
     ) -> PipelineTiming:
+        """Time ``pipeline`` at ``dop`` from its operator ``volumes``.
+
+        Duration is the largest stream time (the first operator reaching
+        it is the bottleneck) plus every fixed time and the pipeline
+        start-up.  Fixed times are summed with ``sum()`` over the list,
+        so the rounding matches it on every Python version.
+        """
         self.timing_computations += 1
-        if self.cache is not None:
-            volumes = self.cache.volumes(pipeline, dop, overrides)
-        else:
-            volumes = pipeline_volumes(pipeline, dop, overrides)
-        op_times = [
-            self.op_time(volume, dop, pipeline=pipeline, index=i)
-            for i, volume in enumerate(volumes)
-        ]
-        stream = max((t.stream_s for t in op_times), default=0.0)
-        fixed = sum(t.fixed_s for t in op_times) + self.hw.pipeline_startup_s
-        bottleneck = ""
-        if op_times:
-            bottleneck = max(op_times, key=lambda t: t.stream_s).label
-        source_rows = volumes[0].rows_out if volumes else 0.0
+        ops = pipeline.ops
+        op_cost = self._op_cost
+        stream = 0.0
+        top = -1
+        fixed_terms = []
+        for index, volume in enumerate(volumes):
+            stream_s, fixed_s = op_cost(volume, dop, ops, index)
+            if top < 0 or stream_s > stream:
+                stream = stream_s
+                top = index
+            fixed_terms.append(fixed_s)
+        fixed = sum(fixed_terms) + self.hw.pipeline_startup_s
         return PipelineTiming(
             duration=stream + fixed,
-            bottleneck=bottleneck,
-            op_times=op_times,
-            source_rows=source_rows,
+            bottleneck=_op_label(volumes[top].op) if volumes else "",
+            source_rows=volumes[0].rows_out if volumes else 0.0,
+            volumes=volumes,
+            dop=dop,
+            models=self,
         )
 
     def throughput(
@@ -157,79 +234,89 @@ class OperatorModels:
         pipeline: Pipeline | None = None,
         index: int | None = None,
     ) -> OpTime:
+        """Stream and fixed time of one operator occurrence, labelled.
+
+        ``pipeline`` and ``index`` locate the operator; a hash build
+        needs them to tell a replicated (broadcast) build from a
+        partitioned one.
+        """
+        ops = pipeline.ops if pipeline is not None else None
+        stream_s, fixed_s = self._op_cost(volume, dop, ops, index)
+        return OpTime(stream_s, fixed_s, _op_label(volume.op))
+
+    def _op_cost(
+        self,
+        volume: OpVolume,
+        dop: int,
+        ops: list[PipelineOp] | None,
+        index: int | None,
+    ) -> tuple[float, float]:
+        """``(stream_s, fixed_s)`` of operator ``ops[index]`` at ``dop``.
+
+        The timing kernel: every estimate and the simulator's ground
+        truth run through it, so it builds no objects beyond the result.
+        """
         role = volume.op.role
-        node = volume.op.node
         hw = self.hw
         cores = hw.node.cores
-        # The label is pure presentation but op_time runs once per
-        # (operator, DOP) probed by the DOP search; cache it per node so
-        # describe() is not re-rendered for every DOP.
-        labels = node.__dict__.get("_op_labels")
-        if labels is None:
-            labels = {}
-            node.__dict__["_op_labels"] = labels
-        label = labels.get(role)
-        if label is None:
-            label = f"{node.describe()}[{role}]"
-            labels[role] = label
 
         if role == ROLE_SOURCE_SCAN:
             scan_s = volume.bytes_in / (dop * hw.scan_bytes_per_node)
             morsels = volume.rows_in / hw.morsel_rows
             sched_s = morsels * hw.morsel_overhead_s / (dop * cores)
-            return OpTime(scan_s + sched_s, hw.store.request_latency_s, label)
+            return scan_s + sched_s, hw.store.request_latency_s
 
         if role == ROLE_SOURCE_STATE:
             rate = dop * cores * hw.state_scan_rows_per_core
-            return OpTime(volume.rows_out / rate, 0.0, label)
+            return volume.rows_out / rate, 0.0
 
         if role == ROLE_STREAM:
-            return self._stream_time(volume, dop, label)
+            return self._stream_cost(volume, dop)
 
         if role == ROLE_BUILD:
             rate = dop * cores * hw.hash_build_rows_per_core
             build_s = volume.rows_in / rate
-            build_s *= self._spill_multiplier(volume, dop, pipeline, index)
-            return OpTime(build_s, 0.0, label)
+            build_s *= self._spill_multiplier(volume, dop, ops, index)
+            return build_s, 0.0
 
         if role == ROLE_PROBE:
             rate = dop * cores * hw.hash_probe_rows_per_core
-            return OpTime(volume.rows_in / rate, 0.0, label)
+            return volume.rows_in / rate, 0.0
 
         if role == ROLE_SINK_AGG:
             rate = dop * cores * hw.agg_rows_per_core
-            return OpTime(volume.rows_in / rate, 0.0, label)
+            return volume.rows_in / rate, 0.0
 
         if role == ROLE_SINK_SORT:
             per_node_rows = max(2.0, volume.rows_in / dop)
             log_ref = math.log2(max(2.0, hw.sort_reference_rows))
             rate = cores * hw.sort_rows_per_core * log_ref / math.log2(per_node_rows)
-            return OpTime(per_node_rows / rate, 0.0, label)
+            return per_node_rows / rate, 0.0
 
         raise EstimationError(f"no model for pipeline role {role!r}")
 
-    def _stream_time(self, volume: OpVolume, dop: int, label: str) -> OpTime:
+    def _stream_cost(self, volume: OpVolume, dop: int) -> tuple[float, float]:
         node = volume.op.node
         hw = self.hw
         cores = hw.node.cores
         if isinstance(node, PhysExchange):
-            return self._exchange_time(node.kind, volume, dop, label)
+            return self._exchange_cost(node.kind, volume, dop)
         if isinstance(node, PhysFilter):
             rate = dop * cores * hw.filter_rows_per_core
-            return OpTime(volume.rows_in / rate, 0.0, label)
+            return volume.rows_in / rate, 0.0
         if isinstance(node, PhysProject):
             exprs = max(1, len(node.exprs))
             rate = dop * cores * hw.project_rows_per_core_per_expr / exprs
-            return OpTime(volume.rows_in / rate, 0.0, label)
+            return volume.rows_in / rate, 0.0
         if isinstance(node, PhysLimit):
-            return OpTime(0.0, 0.0, label)
+            return 0.0, 0.0
         # Streaming (partial) aggregate and anything aggregate-like.
         rate = dop * cores * hw.agg_rows_per_core
-        return OpTime(volume.rows_in / rate, 0.0, label)
+        return volume.rows_in / rate, 0.0
 
-    def _exchange_time(
-        self, kind: ExchangeKind, volume: OpVolume, dop: int, label: str
-    ) -> OpTime:
+    def _exchange_cost(
+        self, kind: ExchangeKind, volume: OpVolume, dop: int
+    ) -> tuple[float, float]:
         hw = self.hw
         coeffs = self.exchange.coefficients(kind)
         if kind is ExchangeKind.SHUFFLE:
@@ -244,13 +331,13 @@ class OperatorModels:
             raise EstimationError(f"unknown exchange kind {kind}")
         stream = coeffs.transfer_scale * transfer
         fixed = coeffs.base_setup_s + coeffs.per_peer_setup_s * max(0, dop - 1)
-        return OpTime(stream, fixed, label)
+        return stream, fixed
 
     def _spill_multiplier(
         self,
         volume: OpVolume,
         dop: int,
-        pipeline: Pipeline | None,
+        ops: list[PipelineOp] | None,
         index: int | None,
     ) -> float:
         """Penalty when the hash build exceeds usable memory.
@@ -261,11 +348,11 @@ class OperatorModels:
         hw = self.hw
         table_bytes = volume.bytes_in + volume.rows_in * hw.hash_table_bytes_per_row
         broadcast = False
-        if pipeline is not None and index is not None:
+        if ops is not None and index is not None:
             broadcast = any(
                 isinstance(op.node, PhysExchange)
                 and op.node.kind is ExchangeKind.BROADCAST
-                for op in pipeline.ops[:index]
+                for op in ops[:index]
             )
         per_node = table_bytes if broadcast else table_bytes / dop
         budget = hw.hash_memory_per_node

@@ -1,6 +1,6 @@
 """Memoization for the estimator hot path.
 
-Profiling the DOP search shows ~80% of optimize time inside
+Profiling the DOP search shows most optimize time inside
 :func:`~repro.cost.operator_models.OperatorModels.pipeline_timing`, and
 most of those calls recompute results already produced earlier in the
 same greedy search: the search mutates one pipeline's DOP per move, yet
@@ -11,32 +11,46 @@ Two observations make the path cacheable:
 - :func:`~repro.cost.volumes.pipeline_volumes` is DOP-independent for
   any pipeline without a partial (DOP-scaled) aggregate, so its result
   can be shared across the whole DOP grid;
-- ``pipeline_timing`` is a pure function of ``(pipeline, dop,
-  overrides)``, so it can be memoized per pipeline object.
+- ``pipeline_timing`` is a pure function of the pipeline's operator
+  volumes and the DOP, so it can be memoized per pipeline object.
 
 Cached entries are keyed *by pipeline identity* in weak dictionaries:
 pipelines die with their plan, and the cache entries follow — no
 explicit lifetime management, no unbounded growth across queries.
-Results are shared objects; every consumer in the repo treats
+Cached values therefore never reference their pipeline.  Results are
+shared objects; every consumer in the repo treats
 ``PipelineTiming``/``OpVolume`` as read-only.
 
-Cardinality overrides are *projected per pipeline* before keying: the
-volume model only ever reads override entries for the pipeline's own
+Keys.  Cardinality overrides are *projected per pipeline* before keying:
+the volume model only ever reads override entries for the pipeline's own
 plan nodes (plus whether a mapping was passed at all, which switches
 un-overridden operators into observed-selectivity mode), so two
 override mappings that agree on this pipeline's nodes are the same
 computation.  Without the projection, a DOP monitor that learns one
 node-local truth would miss the cache for *every* pipeline in the plan;
 with it, only the pipeline that owns the overridden node re-times.
+``None`` (plan-time estimates) and ``{}`` (observed-selectivity mode)
+stay distinct keys.
 
-Correctness contract (enforced by the parity suite in
-``tests/cost/test_estimation_parity.py``): the cache returns objects
-produced by exactly the same computation the uncached path runs, so
-estimates are bit-identical with caching on or off.
+Interning.  Distinct keys may still share results.  When a projected
+mapping (``{}`` or learned truths) yields volumes *bit-equal* to the
+plan-time (``None``) volumes of the same pipeline and DOP key, the
+plan-time list object is reused, and a timing whose volumes are the
+plan-time list is the plan-time timing: a DOP-monitor replan re-uses
+the timings planned for every pipeline whose data flow it did not
+change, and computes only those whose volumes moved.  Equality is
+bitwise (``NaN`` never matches, ``0.0`` and ``-0.0`` differ), so a
+shared result is exactly the one its own computation would produce.
+
+Correctness contract (enforced by ``tests/cost/test_timing_oracle.py``
+against a copy of the original per-operator arithmetic, and by the
+parity suite in ``tests/cost/test_estimation_parity.py``): estimates
+are bit-identical with caching on or off.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 from weakref import WeakKeyDictionary
@@ -74,6 +88,27 @@ def volumes_depend_on_dop(pipeline: Pipeline) -> bool:
     )
 
 
+def volumes_bit_equal(a: list[OpVolume], b: list[OpVolume]) -> bool:
+    """True when two volume lists are the same operators carrying the
+    same bits: ``NaN`` never matches and ``0.0`` differs from ``-0.0``."""
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):
+        if x.op is not y.op or not (
+            _same_bits(x.rows_in, y.rows_in)
+            and _same_bits(x.bytes_in, y.bytes_in)
+            and _same_bits(x.rows_out, y.rows_out)
+            and _same_bits(x.bytes_out, y.bytes_out)
+        ):
+            return False
+    return True
+
+
+def _same_bits(x: float, y: float) -> bool:
+    # Equal non-zero floats have equal bits; zeros must agree in sign.
+    return x == y and (x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
 @dataclass
 class TimingCacheStats:
     """Hit/miss counters (the throughput benchmark reads these)."""
@@ -98,28 +133,23 @@ class TimingCacheStats:
         )
 
 
-class TimingCache:
-    """Per-pipeline memo of volumes and timings.
+class _PipelineMemo:
+    """Everything cached for one pipeline.  Holds no reference to the
+    pipeline itself (it is the value of a weak-keyed entry)."""
 
-    Owned by one :class:`~repro.cost.operator_models.OperatorModels`; all
-    of that estimator's callers (DOP planner, co-finish polish, DOP
-    monitor, What-If Service) share it automatically.
-    """
+    __slots__ = ("node_ids", "dop_sensitive", "volumes", "timings")
 
-    def __init__(self) -> None:
-        # pipeline -> {(dop-or-0, overrides_key): [OpVolume, ...]}
-        self._volumes: WeakKeyDictionary[Pipeline, dict] = WeakKeyDictionary()
-        # pipeline -> {(dop, overrides_key): PipelineTiming}
-        self._timings: WeakKeyDictionary[Pipeline, dict] = WeakKeyDictionary()
-        # pipeline -> whether volumes depend on DOP (partial aggregates)
-        self._dop_sensitive: WeakKeyDictionary[Pipeline, bool] = WeakKeyDictionary()
-        # pipeline -> its plan-node ids (for override projection)
-        self._node_ids: WeakKeyDictionary[Pipeline, frozenset] = WeakKeyDictionary()
-        self.stats = TimingCacheStats()
+    def __init__(self, pipeline: Pipeline) -> None:
+        #: The pipeline's plan-node ids (for override projection).
+        self.node_ids = frozenset(op.node.node_id for op in pipeline.ops)
+        #: Whether volumes depend on DOP (partial aggregates).
+        self.dop_sensitive = volumes_depend_on_dop(pipeline)
+        #: ``(dop-or-0, overrides_key) -> [OpVolume, ...]``
+        self.volumes: dict[tuple, list[OpVolume]] = {}
+        #: ``(dop, overrides_key) -> PipelineTiming``
+        self.timings: dict[tuple, "PipelineTiming"] = {}
 
-    def _project_overrides(
-        self, pipeline: Pipeline, overrides: dict[int, float] | None
-    ) -> dict[int, float] | None:
+    def project(self, overrides: dict[int, float] | None) -> dict[int, float] | None:
         """Restrict overrides to the pipeline's own plan nodes.
 
         Safe because :func:`pipeline_volumes` reads overrides only at
@@ -129,19 +159,38 @@ class TimingCache:
         key sharing: a node-local truth learned by the DOP monitor no
         longer fragments every *other* pipeline's cache slots.
         """
-        if overrides is None:
-            return None
-        node_ids = self._node_ids.get(pipeline)
-        if node_ids is None:
-            node_ids = frozenset(op.node.node_id for op in pipeline.ops)
-            self._node_ids[pipeline] = node_ids
-        if all(node_id in node_ids for node_id in overrides):
+        node_ids = self.node_ids
+        if overrides is None or node_ids.issuperset(overrides):
             return overrides
         return {
             node_id: rows
             for node_id, rows in overrides.items()
             if node_id in node_ids
         }
+
+    def planned_volumes(self, dop: int) -> list[OpVolume] | None:
+        """The cached plan-time (``None``) volumes at ``dop``, if any."""
+        return self.volumes.get((dop if self.dop_sensitive else 0, None))
+
+
+class TimingCache:
+    """Per-pipeline memo of volumes and timings.
+
+    Owned by one :class:`~repro.cost.operator_models.OperatorModels`; all
+    of that estimator's callers (DOP planner, co-finish polish, DOP
+    monitor, What-If Service) share it automatically.
+    """
+
+    def __init__(self) -> None:
+        self._memos: WeakKeyDictionary[Pipeline, _PipelineMemo] = WeakKeyDictionary()
+        self.stats = TimingCacheStats()
+
+    def _memo(self, pipeline: Pipeline) -> _PipelineMemo:
+        memo = self._memos.get(pipeline)
+        if memo is None:
+            memo = _PipelineMemo(pipeline)
+            self._memos[pipeline] = memo
+        return memo
 
     # ------------------------------------------------------------------ #
     # Lookups
@@ -155,23 +204,30 @@ class TimingCache:
         """Cached :func:`pipeline_volumes`; DOP enters the key only for
         pipelines whose volumes actually depend on it, and overrides
         only through their projection onto this pipeline's nodes."""
-        sensitive = self._dop_sensitive.get(pipeline)
-        if sensitive is None:
-            sensitive = volumes_depend_on_dop(pipeline)
-            self._dop_sensitive[pipeline] = sensitive
-        overrides = self._project_overrides(pipeline, overrides)
-        key = (dop if sensitive else 0, overrides_key(overrides))
-        per_pipeline = self._volumes.get(pipeline)
-        if per_pipeline is None:
-            per_pipeline = {}
-            self._volumes[pipeline] = per_pipeline
-        found = per_pipeline.get(key)
-        if found is None:
-            self.stats.volume_computations += 1
-            found = pipeline_volumes(pipeline, dop, overrides)
-            per_pipeline[key] = found
-        else:
+        memo = self._memo(pipeline)
+        return self._volumes(memo, pipeline, dop, memo.project(overrides))
+
+    def _volumes(
+        self,
+        memo: _PipelineMemo,
+        pipeline: Pipeline,
+        dop: int,
+        overrides: dict[int, float] | None,
+    ) -> list[OpVolume]:
+        """:meth:`volumes` for already-projected ``overrides``; a result
+        bit-equal to the plan-time volumes is the plan-time list."""
+        key = (dop if memo.dop_sensitive else 0, overrides_key(overrides))
+        found = memo.volumes.get(key)
+        if found is not None:
             self.stats.volume_hits += 1
+            return found
+        self.stats.volume_computations += 1
+        found = pipeline_volumes(pipeline, dop, overrides)
+        if overrides is not None:
+            planned = memo.planned_volumes(dop)
+            if planned is not None and volumes_bit_equal(found, planned):
+                found = planned
+        memo.volumes[key] = found
         return found
 
     def timing(
@@ -179,22 +235,33 @@ class TimingCache:
         pipeline: Pipeline,
         dop: int,
         overrides: dict[int, float] | None,
-        compute: Callable[[Pipeline, int, dict[int, float] | None], "PipelineTiming"],
+        compute: Callable[[Pipeline, int, list[OpVolume]], "PipelineTiming"],
     ) -> "PipelineTiming":
-        """Memoized pipeline timing; ``compute`` runs on a miss."""
-        overrides = self._project_overrides(pipeline, overrides)
+        """Memoized pipeline timing; ``compute(pipeline, dop, volumes)``
+        runs on a miss.
+
+        A miss whose volumes are the interned plan-time list shares the
+        plan-time ``(dop, None)`` timing, computing it only if absent.
+        """
+        memo = self._memo(pipeline)
+        overrides = memo.project(overrides)
         key = (dop, overrides_key(overrides))
-        per_pipeline = self._timings.get(pipeline)
-        if per_pipeline is None:
-            per_pipeline = {}
-            self._timings[pipeline] = per_pipeline
-        found = per_pipeline.get(key)
+        found = memo.timings.get(key)
+        if found is not None:
+            self.stats.timing_hits += 1
+            return found
+        volumes = self._volumes(memo, pipeline, dop, overrides)
+        slot = key
+        if overrides is not None and volumes is memo.planned_volumes(dop):
+            slot = (dop, None)
+            found = memo.timings.get(slot)
         if found is None:
             self.stats.timing_computations += 1
-            found = compute(pipeline, dop, overrides)
-            per_pipeline[key] = found
+            found = compute(pipeline, dop, volumes)
+            memo.timings[slot] = found
         else:
             self.stats.timing_hits += 1
+        memo.timings[key] = found
         return found
 
     # ------------------------------------------------------------------ #
@@ -203,10 +270,9 @@ class TimingCache:
     def invalidate(self) -> None:
         """Drop every cached entry (call after recalibrating hardware or
         exchange coefficients — anything that changes the timing model)."""
-        self._volumes.clear()
-        self._timings.clear()
-        self._dop_sensitive.clear()
-        self._node_ids.clear()
+        self._memos.clear()
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._timings.values())
+        """Number of timing slots (distinct keys; shared results count
+        once per key)."""
+        return sum(len(memo.timings) for memo in self._memos.values())

@@ -31,9 +31,11 @@ def min_dop_for_duration(
 ) -> int:
     """Smallest DOP whose modeled duration is <= ``target_seconds``.
 
-    Durations are not monotone in DOP forever (exchange setup eventually
-    dominates), so this scans upward and returns the best-duration DOP
-    if the target is unreachable.
+    Scans the DOP lattice the planner's greedy growth moves on —
+    1, 2, 4, ... doubling, capped at ``max_dop`` (so a ``max_dop`` that
+    is not a power of two is the last step).  Durations are not monotone
+    in DOP forever (exchange setup eventually dominates), so this
+    returns the best-duration DOP if the target is unreachable.
     """
     if target_seconds <= 0:
         raise OptimizerError(f"target duration must be positive: {target_seconds}")
@@ -47,7 +49,9 @@ def min_dop_for_duration(
         if duration < best_duration:
             best_duration = duration
             best_dop = dop
-        dop *= 2
+        if dop == max_dop:
+            break
+        dop = min(max_dop, dop * 2)
     return best_dop
 
 

@@ -448,17 +448,16 @@ def true_pipeline_duration(
     from repro.sim.skew import skew_multiplier
 
     volumes = pipeline_volumes(pipeline, dop, truth if truth else None)
-    has_shuffle = any(
-        isinstance(v.op.node, PhysExchange) and v.op.node.kind is ExchangeKind.SHUFFLE
-        for v in volumes
-    )
+    ops = pipeline.ops
+    op_cost = models._op_cost
+    has_shuffle = False
     stream = 0.0
     fixed = models.hw.pipeline_startup_s
     for index, volume in enumerate(volumes):
-        op_time = models.op_time(volume, dop, pipeline=pipeline, index=index)
-        stream_s, fixed_s = op_time.stream_s, op_time.fixed_s
+        stream_s, fixed_s = op_cost(volume, dop, ops, index)
         node = volume.op.node
         if isinstance(node, PhysExchange):
+            has_shuffle = has_shuffle or node.kind is ExchangeKind.SHUFFLE
             stream_s *= config.exchange_transfer_multiplier
             fixed_s *= config.exchange_setup_multiplier
             if config.materialize_exchanges:
@@ -467,7 +466,8 @@ def true_pipeline_duration(
                 fixed_s += round_trip + 2.0 * store.request_latency_s
         else:
             stream_s /= config.cpu_rate_multiplier
-        stream = max(stream, stream_s)
+        if stream_s > stream:
+            stream = stream_s
         fixed += fixed_s
     if has_shuffle and dop > 1:
         stream *= skew_multiplier(dop, config.skew_zipf_s, rng)

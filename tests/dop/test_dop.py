@@ -72,6 +72,70 @@ def test_min_dop_invalid_target(q5_dag, estimator):
         )
 
 
+def growth_lattice(max_dop: int) -> list[int]:
+    """The DOPs greedy growth can assign: doubling, capped at max_dop."""
+    lattice = [1]
+    while lattice[-1] < max_dop:
+        lattice.append(min(max_dop, lattice[-1] * 2))
+    return lattice
+
+
+@pytest.fixture(scope="module")
+def q1_dag(big_binder, big_planner):
+    plan = big_planner.plan(
+        big_binder.bind_sql(instantiate("q1_pricing_summary", seed=1))
+    )
+    return decompose_pipelines(plan)
+
+
+@pytest.mark.parametrize("max_dop", [12, 24, 48])
+def test_min_dop_scans_the_growth_lattice(q1_dag, estimator, max_dop):
+    """A max_dop that is not a power of two is the lattice's last step:
+    a target only max_dop itself meets must return max_dop, never a
+    slower power of two below it."""
+    models = estimator.models
+    lattice = growth_lattice(max_dop)
+    reached_max = False
+    for pipeline in q1_dag:
+        target = models.pipeline_timing(pipeline, max_dop).duration
+        got = min_dop_for_duration(pipeline, target, models, max_dop=max_dop)
+        expected = next(
+            dop
+            for dop in lattice
+            if models.pipeline_timing(pipeline, dop).duration <= target
+        )
+        assert got == expected
+        assert models.pipeline_timing(pipeline, got).duration <= target
+        reached_max = reached_max or got == max_dop
+    if max_dop == 12:
+        # q1's scan pipeline is still speeding up past DOP 8.
+        assert reached_max
+
+
+@pytest.mark.parametrize("max_dop", [12, 24, 48])
+def test_polish_never_slows_a_sibling_past_its_target(
+    big_binder, big_planner, estimator, max_dop
+):
+    """Co-finish polish shrinks a sibling only to a DOP that still meets
+    the group's target, including when that DOP is max_dop itself."""
+    dag = decompose_pipelines(
+        big_planner.plan(
+            big_binder.bind_sql(instantiate("q10_returned_items", seed=1))
+        )
+    )
+    models = estimator.models
+    dops = {p.pipeline_id: max_dop for p in dag}
+    balanced = equalize_siblings(dag, dops, models, max_dop=max_dop)
+    for pipeline in dag:
+        group = dag.siblings(pipeline.pipeline_id)
+        if len(group) < 2:
+            continue
+        target = max(models.pipeline_timing(p, max_dop).duration for p in group)
+        duration = models.pipeline_timing(pipeline, balanced[pipeline.pipeline_id])
+        assert duration.duration <= target
+        assert balanced[pipeline.pipeline_id] in growth_lattice(max_dop)
+
+
 def test_cofinish_group_roughly_equalizes(q5_dag, estimator):
     groups = {}
     for pipeline in q5_dag:
