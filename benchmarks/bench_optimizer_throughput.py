@@ -5,17 +5,21 @@ Two workloads, three modes:
 **Fixed pool** (identical SQL re-optimized, PR 1's A/B):
 
 - **baseline**: uncached estimator + naive DOP search (every candidate
-  move re-times every pipeline) — the pre-overhaul behavior, kept behind
-  ``CostEstimator(enable_cache=False)`` / ``DopPlanner(incremental=False)``;
+  move re-times every pipeline) — the pre-overhaul behavior, rebuilt
+  from the test-side oracle ``tests/dop/dop_oracle.py``
+  (``OracleOptimizer`` over a ``ColdEstimator``);
 - **cached**: memoized volumes/timings + incremental DAG re-costing
-  (one new timing per candidate move, cheap ASAP re-schedule).
+  (one new timing per candidate move, cheap ASAP re-schedule) under the
+  same per-candidate search: the oracle search priced by the production
+  incremental coster.
 
 **Literal-varying pool** (each arrival re-instantiates its template with
 fresh constants — the recurring-report traffic shape, where exact-match
 plan caching gets 0% hits):
 
-- **cached** again, as the PR 1 reference: fresh bind + fresh optimize
-  per arrival;
+- **cached** again, as the exact-match-only reference: an exact-match
+  plan cache (misses on this traffic), fresh bind + fresh optimize per
+  arrival;
 - **parameterized**: the serving path through ``Session.plan`` (the
   public serving API over ``CostIntelligentWarehouse``) — literal
   extraction, exact-level then skeleton-level plan cache, DAG-planning
@@ -83,20 +87,28 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT, REPO_ROOT / "src"):  # tests.dop.dop_oracle, repro
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 from repro.core.service import QueryRequest  # noqa: E402
-from repro.core.bioptimizer import BiObjectiveOptimizer  # noqa: E402
 from repro.core.journal import WriteAheadJournal  # noqa: E402
+from repro.core.plan_cache import PlanCache  # noqa: E402
 from repro.core.resilience import ResiliencePolicy  # noqa: E402
 from repro.core.warehouse import CostIntelligentWarehouse  # noqa: E402
 from repro.cost.estimator import CostEstimator  # noqa: E402
 from repro.obsvc.drilldown import DrillDownNavigator  # noqa: E402
 from repro.dop.constraints import budget_constraint, sla_constraint  # noqa: E402
+from repro.dop.planner import _IncrementalCoster  # noqa: E402
 from repro.sql.binder import Binder  # noqa: E402
+from repro.sql.parameterize import normalize_sql  # noqa: E402
 from repro.workloads.tpch_queries import instantiate, template_names  # noqa: E402
 from repro.workloads.tpch_stats import synthetic_tpch_catalog  # noqa: E402
+from tests.dop.dop_oracle import (  # noqa: E402
+    ColdEstimator,
+    OracleDopPlanner,
+    OracleOptimizer,
+)
 
 SLA_SECONDS = 12.0
 BUDGET_DOLLARS = 0.05
@@ -109,18 +121,29 @@ PARAMETERIZED_SPEEDUP_FLOOR = 2.0
 CONSTRAINTS = (sla_constraint(SLA_SECONDS), budget_constraint(BUDGET_DOLLARS))
 
 
-def fresh_optimizer(catalog, *, cached: bool) -> BiObjectiveOptimizer:
-    """PR 1's two modes: ``cached`` toggles every PR 1 optimization; the
-    DAG memo and batched rounds (this PR) stay off so the reference
-    numbers keep meaning "PR 1's cached path"."""
-    optimizer = BiObjectiveOptimizer(
-        catalog,
-        CostEstimator(enable_cache=cached),
-        max_dop=64,
-        incremental_dop=cached,
-        memoize_dag=False,
-    )
-    optimizer.dop_planner.batched = False
+class IncrementalOracleDopPlanner(OracleDopPlanner):
+    """The oracle's per-candidate search, each candidate priced by the
+    production incremental coster (timings memoized per search, one
+    full schedule per candidate)."""
+
+    def plan(self, dag, constraint, overrides=None):
+        self._coster = _IncrementalCoster(self.estimator, dag, overrides)
+        return super().plan(dag, constraint, overrides)
+
+    def _estimate(self, dag, dops, overrides):
+        self.evaluations += 1
+        return self._coster.estimate(dops)
+
+
+def fresh_optimizer(catalog, *, cached: bool) -> OracleOptimizer:
+    """The fixed pool's two modes: ``cached`` toggles the timing cache
+    and the incremental coster; there is no DAG memo and no batched
+    round, so the reference numbers keep meaning "the first cached
+    path"."""
+    if not cached:
+        return OracleOptimizer(catalog, ColdEstimator(), max_dop=64)
+    optimizer = OracleOptimizer(catalog, CostEstimator(), max_dop=64)
+    optimizer.dop_planner = IncrementalOracleDopPlanner(optimizer.estimator)
     return optimizer
 
 
@@ -200,29 +223,45 @@ def literal_varying_workload(names, *, seeds: int, rounds: int) -> list[list[str
     return chunks
 
 
-def pr1_warehouse(catalog) -> CostIntelligentWarehouse:
-    """A warehouse restricted to PR 1's serving semantics: exact-match
-    plan cache only (default capacity, misses and evicts on this
-    traffic), keys recomputed per submission, no DAG memo, per-candidate
-    DOP costing."""
-    warehouse = CostIntelligentWarehouse(catalog=catalog, parameterized_serving=False)
-    warehouse.optimizer._dag_memo = None
-    warehouse.optimizer.dop_planner.batched = False
-    return warehouse
+class ExactMatchServing:
+    """The exact-match-only serving semantics: one plan cache level (the
+    warehouse's default capacity; misses and evicts on this traffic),
+    keys recomputed per submission, a fresh bind on every miss, no DAG
+    memo, per-candidate DOP costing."""
+
+    def __init__(self, catalog) -> None:
+        self.catalog = catalog
+        self.binder = Binder(catalog)
+        self.optimizer = fresh_optimizer(catalog, cached=True)
+        self.estimator = self.optimizer.estimator
+        self.plan_cache = PlanCache(256)
+
+    def plan(self, sql: str, constraint):
+        key = (normalize_sql(sql), constraint, self.catalog.version)
+        cached = self.plan_cache.lookup(key)
+        if cached is not None:
+            return cached
+        bound = self.binder.bind_sql(sql)
+        choice = self.optimizer.optimize(bound, constraint)
+        self.plan_cache.store(key, bound, choice)
+        return bound, choice
+
+    def reset_cache_stats(self) -> None:
+        self.plan_cache.reset_stats()
 
 
 def run_literal_varying(catalog, chunks, constraints) -> tuple[dict, dict]:
     """A/B the serving paths on literal-varying traffic.
 
-    Both modes run the full ``CostIntelligentWarehouse.plan`` path; the
-    reference is PR 1's configuration (its exact-match cache misses on
-    every arrival), the contender is the parameterized two-level cache.
+    The reference is exact-match-only serving (its plan cache misses
+    on every arrival); the contender is the full
+    ``CostIntelligentWarehouse`` serving path through ``Session.plan``.
     Chunks are measured alternately.
     """
-    reference = pr1_warehouse(catalog)
+    reference = ExactMatchServing(catalog)
     parameterized = CostIntelligentWarehouse(catalog=catalog, plan_cache_size=1024)
     sessions = {
-        "cached": reference.session(tenant="bench"),
+        "cached": reference,
         "parameterized": parameterized.session(tenant="bench"),
     }
     for mode, warehouse in (("cached", reference), ("parameterized", parameterized)):
@@ -809,7 +848,7 @@ def check_parity(reference_choices, fast_choices) -> int:
 
 def fresh_reference_choices(catalog, workload, constraints) -> list:
     """Bit-identity oracle for the literal-varying fast paths: a fresh
-    bind + full optimization (baseline flags) of every arrival."""
+    bind + cold, uncached oracle optimization of every arrival."""
     optimizer = fresh_optimizer(catalog, cached=False)
     binder = Binder(catalog)
     choices = []

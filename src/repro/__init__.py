@@ -102,7 +102,6 @@ from repro.tuning import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
     TuningAction,
     TuningPolicy,
     TuningReport,
@@ -151,7 +150,6 @@ __all__ = [
     "TuningAction",
     "MaterializeView",
     "Recluster",
-    "ResizeWarehouse",
     "Recommendation",
     "RecommendationState",
     "TuningPolicy",

@@ -87,7 +87,6 @@ WAREHOUSE_INIT_PARAMS = frozenset(
         "max_dop",
         "explore_bushy",
         "plan_cache_size",
-        "parameterized_serving",
         "tuning_policy",
         "retention_policy",
         "tenant_budgets",

@@ -92,23 +92,17 @@ class BiObjectiveOptimizer:
         max_dop: int = 64,
         explore_bushy: bool = True,
         max_variants: int = 4,
-        incremental_dop: bool = True,
-        memoize_dag: bool = True,
     ) -> None:
         self.catalog = catalog
         self.estimator = estimator or CostEstimator()
         self.dag_planner = DagPlanner(catalog)
-        self.dop_planner = DopPlanner(
-            self.estimator, max_dop=max_dop, incremental=incremental_dop
-        )
+        self.dop_planner = DopPlanner(self.estimator, max_dop=max_dop)
         self.explore_bushy = explore_bushy
         self.max_variants = max_variants
-        #: Per-query memo of ``(catalog version, planned variants)``;
-        #: ``memoize_dag=False`` is the A/B escape hatch (the
-        #: benchmark's pre-overhaul baseline).
-        self._dag_memo: (
-            WeakKeyDictionary[BoundQuery, tuple[int, list[PlannedVariant]]] | None
-        ) = WeakKeyDictionary() if memoize_dag else None
+        #: Per-query memo of ``(catalog version, planned variants)``.
+        self._dag_memo: WeakKeyDictionary[
+            BoundQuery, tuple[int, list[PlannedVariant]]
+        ] = WeakKeyDictionary()
         self.dag_memo_hits = 0
         self.dag_plans = 0
         #: Cumulative wall time per optimize() stage (seconds), for the
@@ -148,14 +142,13 @@ class BiObjectiveOptimizer:
         re-derived, exactly as fresh planning with those trees would.
         """
         version = self.catalog.version
-        if self._dag_memo is not None:
-            memoized = self._dag_memo.get(query)
-            # The catalog version guards against serving plans built
-            # from stale statistics when the same bound query is
-            # re-optimized across a stats refresh / DDL.
-            if memoized is not None and memoized[0] == version:
-                self.dag_memo_hits += 1
-                return memoized[1]
+        memoized = self._dag_memo.get(query)
+        # The catalog version guards against serving plans built from
+        # stale statistics when the same bound query is re-optimized
+        # across a stats refresh / DDL.
+        if memoized is not None and memoized[0] == version:
+            self.dag_memo_hits += 1
+            return memoized[1]
 
         self.dag_plans += 1
         if skeleton_trees is not None:
@@ -189,8 +182,7 @@ class BiObjectiveOptimizer:
             )
         self.stage_times["physical"] += time.perf_counter() - t2
 
-        if self._dag_memo is not None:
-            self._dag_memo[query] = (version, variants)
+        self._dag_memo[query] = (version, variants)
         return variants
 
     def variant_trees(self, query: BoundQuery) -> tuple[JoinTree | Leaf, ...]:
@@ -245,21 +237,19 @@ class BiObjectiveOptimizer:
         left-deep base plan (``bushy_variants`` keeps the original tree
         first), so no planning is repeated.
         """
-        version = self.catalog.version
-        if self._dag_memo is not None:
-            memoized = self._dag_memo.get(query)
-            if memoized is not None and memoized[0] == version:
-                self.dag_memo_hits += 1
-                variant = memoized[1][0]
-                return PlanChoice(
-                    plan=variant.plan,
-                    dag=variant.dag,
-                    dop_plan=self.dop_planner.plan(variant.dag, constraint),
-                    join_tree=variant.tree,
-                    variant_index=0,
-                    bushiness=bushiness(variant.tree),
-                    variants_considered=1,
-                )
+        memoized = self._dag_memo.get(query)
+        if memoized is not None and memoized[0] == self.catalog.version:
+            self.dag_memo_hits += 1
+            variant = memoized[1][0]
+            return PlanChoice(
+                plan=variant.plan,
+                dag=variant.dag,
+                dop_plan=self.dop_planner.plan(variant.dag, constraint),
+                join_tree=variant.tree,
+                variant_index=0,
+                bushiness=bushiness(variant.tree),
+                variants_considered=1,
+            )
         self.dag_plans += 1
         tree = self.dag_planner.choose_join_tree(query)
         plan = self.dag_planner.plan_with_tree(query, tree)

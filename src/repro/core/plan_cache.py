@@ -4,7 +4,8 @@ Analytical traffic is dominated by recurring report templates — the same
 SQL shapes resubmitted with *varying literals* under the same
 constraints.  Re-running the bi-objective optimizer for each arrival
 wastes exactly the machine time the paper's economics are about, so the
-warehouse memoizes planning work at two levels:
+warehouse memoizes planning work at three levels, all present whenever
+its ``plan_cache_size`` is positive:
 
 - **Exact level** (:class:`PlanCache`): the full
   :class:`~repro.core.bioptimizer.PlanChoice` keyed on the *normalized*
@@ -22,8 +23,11 @@ warehouse memoizes planning work at two levels:
   literals would lead the DP to the same shapes (enforced on the
   workload suite by ``tests/cost/test_estimation_parity.py`` and the
   benchmark's parity guard).
+- **Binding level** (:class:`BindingCache`): the bound query keyed on
+  the normalized SQL and the stats version, so a second constraint on
+  one arrival reuses the binding and everything keyed on it.
 
-The stats version inside both keys is the invalidation story: any
+The stats version inside every key is the invalidation story: any
 catalog mutation (stats refresh, recluster, MV creation, table DDL)
 bumps the version, so stale entries can never be served — they simply
 stop matching and age out of the LRU.  ``invalidate()`` exists for

@@ -781,18 +781,16 @@ class Session:
     def _sharded_eligible(self, handle: QueryHandle) -> bool:
         """Whether a handle's planning can run on a worker process.
 
-        Remote staging replicates the *parameterized cached* planning
-        path only; anything else (cache bypass, local execution, the
-        PR 1 exact-match-only mode) stages in-process at its collect
+        Remote staging replicates the *cached* planning path only;
+        anything else (cache bypass, local execution, a warehouse built
+        with ``plan_cache_size=0``) stages in-process at its collect
         position, preserving submission-order semantics.
         """
         request = handle.request
-        warehouse = self.warehouse
         return (
             request.use_plan_cache
             and not request.execute_locally
-            and warehouse.plan_cache is not None
-            and warehouse.parameterized_serving
+            and self.warehouse.plan_cache is not None
         )
 
     def _dispatch_sharded(self, handle: QueryHandle, pool) -> int | None:

@@ -23,9 +23,7 @@ The tuning surface mirrors it in :mod:`repro.tuning.service`:
 ``warehouse.tuning`` is a persistent
 :class:`~repro.tuning.service.TuningService` whose typed
 :class:`~repro.tuning.service.Recommendation`\\ s are applied and rolled
-back with full serving-cache coherence;
-:meth:`~CostIntelligentWarehouse.run_tuning_cycle` is the deprecated
-shim over it.
+back with full serving-cache coherence.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from repro.core.resilience import (
     StageGuard,
 )
 from repro.core.service import QueryOutcome, QueryRequest, Session, TenantBill
-from repro.sql.parameterize import normalize_sql, parameterize_sql
+from repro.sql.parameterize import parameterize_sql
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
 from repro.dop.constraints import Constraint
@@ -90,7 +88,6 @@ from repro.plan.expressions import referenced_columns
 from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig, SimResult
 from repro.sql.binder import Binder, BoundQuery
 from repro.statsvc.logs import QueryLogStore, QueryRecord
-from repro.tuning.advisor import AdvisorProposals
 from repro.tuning.mv import MVCandidate, try_rewrite
 from repro.tuning.service import TuningPolicy, TuningService
 
@@ -155,7 +152,6 @@ class CostIntelligentWarehouse:
         max_dop: int = 64,
         explore_bushy: bool = True,
         plan_cache_size: int = 256,
-        parameterized_serving: bool = True,
         tuning_policy: TuningPolicy | None = None,
         retention_policy: "str | Callable[[], RetentionPolicy]" = "lru",
         tenant_budgets: "Mapping[str, TenantBudget | float] | None" = None,
@@ -218,17 +214,14 @@ class CostIntelligentWarehouse:
         #: rewrites matching queries onto these views, so an applied MV
         #: actually changes served plans (and a rollback restores them).
         self._applied_mvs: dict[str, MVCandidate] = {}
-        #: Serving-layer plan caches; ``plan_cache_size=0`` disables both
-        #: levels.  Exact level: full plans keyed (normalized SQL,
+        #: Serving-layer plan caches; ``plan_cache_size=0`` disables every
+        #: level.  Exact level: full plans keyed (normalized SQL,
         #: constraint, stats version).  Skeleton level: template plan
         #: skeletons keyed (literal-free template key, constraint kind,
         #: stats version) — literal-varying resubmissions skip join-order
-        #: DP and bushy generation.
-        #: ``parameterized_serving=False`` reproduces the exact-match-only
-        #: serving path (PR 1 semantics) for A/B benchmarking: no
-        #: skeleton or binding level, keys recomputed per submission.
-        self.parameterized_serving = parameterized_serving
-        parameterized = parameterized_serving and plan_cache_size > 0
+        #: DP and bushy generation.  Binding level: bound queries keyed
+        #: (normalized SQL, stats version).
+        cached = plan_cache_size > 0
         #: Resource governance (see :mod:`repro.core.governance`).
         #: ``self.frequency`` bridges the Statistics Service's per-family
         #: arrival forecasts to cache retention and warming;
@@ -267,15 +260,13 @@ class CostIntelligentWarehouse:
             )
 
         self.plan_cache: PlanCache | None = (
-            PlanCache(plan_cache_size, policy=_policy())
-            if plan_cache_size > 0
-            else None
+            PlanCache(plan_cache_size, policy=_policy()) if cached else None
         )
         self.skeleton_cache: SkeletonCache | None = (
-            SkeletonCache(plan_cache_size, policy=_policy()) if parameterized else None
+            SkeletonCache(plan_cache_size, policy=_policy()) if cached else None
         )
         self.binding_cache: BindingCache | None = (
-            BindingCache(plan_cache_size, policy=_policy()) if parameterized else None
+            BindingCache(plan_cache_size, policy=_policy()) if cached else None
         )
         #: Cost observability (see :mod:`repro.obsvc`): the typed
         #: metrics registry every serving emission and the
@@ -437,10 +428,7 @@ class CostIntelligentWarehouse:
         return values
 
     def _timing_cache_source(self, field: str) -> dict:
-        cache = self.estimator.models.cache
-        if cache is None:
-            return {}
-        stats = cache.stats
+        stats = self.estimator.models.cache.stats
         return {
             ("timing",): getattr(stats, f"timing_{field}"),
             ("volume",): getattr(stats, f"volume_{field}"),
@@ -739,26 +727,8 @@ class CostIntelligentWarehouse:
                 "optimize", lambda: self.optimizer.optimize(bound, constraint)
             )
 
-        if not self.parameterized_serving:
-            # PR 1 serving semantics: exact-match level only, key
-            # recomputed per submission, fresh bind on every miss.
-            key = (normalize_sql(sql), constraint, self.catalog.version)
-            cached = self.plan_cache.lookup(key)
-            if cached is not None:
-                if on_bound is not None:
-                    on_bound(cached[0])
-                return cached
-            bound = staged(
-                "bind", lambda: self._maybe_rewrite_mv(self.binder.bind_sql(sql))
-            )
-            if on_bound is not None:
-                on_bound(bound)
-            choice = staged(
-                "optimize", lambda: self.optimizer.optimize(bound, constraint)
-            )
-            self.plan_cache.store(key, bound, choice)
-            return bound, choice
-
+        # Every cache level exists whenever the exact level does.
+        assert self.binding_cache is not None and self.skeleton_cache is not None
         version = self.catalog.version
         parameterized = parameterize_sql(sql)
         normalized = parameterized.normalized
@@ -776,10 +746,8 @@ class CostIntelligentWarehouse:
         # annotated with the template identity and the planning seconds
         # the entry saves, so eviction can weigh forecast value.
         governed = self._governed
-        bound = None
         binding_key = (normalized, version)
-        if self.binding_cache is not None:
-            bound = self.binding_cache.lookup(binding_key)
+        bound = self.binding_cache.lookup(binding_key)
         if bound is None:
             # Reuse the parameterization already lexed for the cache
             # keys: recurring templates bind from a cached template AST
@@ -791,16 +759,15 @@ class CostIntelligentWarehouse:
                     parameterized.template_key, parameterized.constants, sql=sql
                 ),
             )
-            if self.binding_cache is not None:
-                if governed:
-                    self.binding_cache.store(
-                        binding_key,
-                        bound,
-                        template=parameterized.template_key,
-                        cost_s=time.perf_counter() - bind_start,
-                    )
-                else:
-                    self.binding_cache.store(binding_key, bound)
+            if governed:
+                self.binding_cache.store(
+                    binding_key,
+                    bound,
+                    template=parameterized.template_key,
+                    cost_s=time.perf_counter() - bind_start,
+                )
+            else:
+                self.binding_cache.store(binding_key, bound)
         # MV rewriting happens after the binding cache (which keeps the
         # original binding) and is deterministic per (template, catalog
         # version), so skeleton reuse stays coherent: every instance of a
@@ -808,19 +775,16 @@ class CostIntelligentWarehouse:
         bound = self._maybe_rewrite_mv(bound)
         if on_bound is not None:
             on_bound(bound)
-        skeleton_key = None
-        trees = None
-        if self.skeleton_cache is not None:
-            # The constraint kind is conservative key hygiene (DAG
-            # planning never reads the constraint); it costs one extra
-            # DP per template and kind.  Skeleton reuse trusts the
-            # template's join shapes to be stable under literal changes
-            # — enforced for the workload suite by the parity tests and
-            # the benchmark guard; a template whose literals swing the
-            # join-order DP would be re-planned on its cached shapes.
-            kind = "sla" if constraint.is_sla else "budget"
-            skeleton_key = (parameterized.template_key, kind, version)
-            trees = self.skeleton_cache.lookup(skeleton_key)
+        # The constraint kind is conservative key hygiene (DAG planning
+        # never reads the constraint); it costs one extra DP per template
+        # and kind.  Skeleton reuse trusts the template's join shapes to
+        # be stable under literal changes — enforced for the workload
+        # suite by the parity tests and the benchmark guard; a template
+        # whose literals swing the join-order DP would be re-planned on
+        # its cached shapes.
+        kind = "sla" if constraint.is_sla else "budget"
+        skeleton_key = (parameterized.template_key, kind, version)
+        trees = self.skeleton_cache.lookup(skeleton_key)
         plan_start = time.perf_counter() if governed else 0.0
         choice = staged(
             "optimize",
@@ -830,7 +794,7 @@ class CostIntelligentWarehouse:
         # on the stored entries saves (a proxy for the skeleton level,
         # whose hits still re-run physical planning and the DOP search).
         planning_s = time.perf_counter() - plan_start if governed else 0.0
-        if skeleton_key is not None and trees is None:
+        if trees is None:
             # variant_trees() reads the optimizer's DAG memo — no rework.
             self.skeleton_cache.store(
                 skeleton_key,
@@ -870,31 +834,25 @@ class CostIntelligentWarehouse:
         serve degraded plans to healthy future submissions (the chaos
         suite's cache-consistency invariant).
         """
-        if self.plan_cache is None or not self.parameterized_serving:
+        if self.plan_cache is None:
             bound = self._maybe_rewrite_mv(self.binder.bind_sql(sql))
             return bound, self.optimizer.optimize_heuristic(bound, constraint), "heuristic"
+        assert self.binding_cache is not None and self.skeleton_cache is not None
         version = self.catalog.version
         parameterized = parameterize_sql(sql)
-        bound = None
-        if self.binding_cache is not None:
-            # The guarded path usually bound this query before its
-            # optimize deadline tripped; reuse that binding.
-            bound = self.binding_cache.lookup((parameterized.normalized, version))
+        # The guarded path usually bound this query before its optimize
+        # deadline tripped; reuse that binding.
+        bound = self.binding_cache.lookup((parameterized.normalized, version))
         if bound is None:
             bound = self.binder.bind_parameterized(
                 parameterized.template_key, parameterized.constants, sql=sql
             )
         bound = self._maybe_rewrite_mv(bound)
-        if self.skeleton_cache is not None:
-            kind = "sla" if constraint.is_sla else "budget"
-            trees = self.skeleton_cache.lookup(
-                (parameterized.template_key, kind, version)
-            )
-            if trees is not None:
-                choice = self.optimizer.optimize(
-                    bound, constraint, skeleton_trees=trees
-                )
-                return bound, choice, "skeleton"
+        kind = "sla" if constraint.is_sla else "budget"
+        trees = self.skeleton_cache.lookup((parameterized.template_key, kind, version))
+        if trees is not None:
+            choice = self.optimizer.optimize(bound, constraint, skeleton_trees=trees)
+            return bound, choice, "skeleton"
         return bound, self.optimizer.optimize_heuristic(bound, constraint), "heuristic"
 
     # ------------------------------------------------------------------ #
@@ -1353,8 +1311,7 @@ class CostIntelligentWarehouse:
         for cache in (self.plan_cache, self.skeleton_cache, self.binding_cache):
             if cache is not None:
                 cache.reset_stats()
-        if self.estimator.models.cache is not None:
-            self.estimator.models.cache.stats.reset()
+        self.estimator.models.cache.stats.reset()
         self.optimizer.reset_counters()
         self.admission.reset_stats()
         # Retry / deadline / degraded tallies are warmup noise too: a
@@ -1413,17 +1370,16 @@ class CostIntelligentWarehouse:
         ):
             verdicts.setdefault(tenant, {})[verdict] = count
         report["admission"] = verdicts
-        if self.estimator.models.cache is not None:
-            cache_hits = metrics.sourced("repro_timing_cache_hits_total")
-            computations = metrics.sourced("repro_timing_cache_computations_total")
-            block: dict[str, float] = {}
-            for kind in ("timing", "volume"):
-                kind_hits = cache_hits.get((kind,), 0)
-                total = kind_hits + computations.get((kind,), 0)
-                block[f"{kind}_hits"] = kind_hits
-                block[f"{kind}_computations"] = computations.get((kind,), 0)
-                block[f"{kind}_hit_rate"] = kind_hits / total if total else 0.0
-            report["timing_cache"] = block
+        cache_hits = metrics.sourced("repro_timing_cache_hits_total")
+        computations = metrics.sourced("repro_timing_cache_computations_total")
+        block: dict[str, float] = {}
+        for kind in ("timing", "volume"):
+            kind_hits = cache_hits.get((kind,), 0)
+            total = kind_hits + computations.get((kind,), 0)
+            block[f"{kind}_hits"] = kind_hits
+            block[f"{kind}_computations"] = computations.get((kind,), 0)
+            block[f"{kind}_hit_rate"] = kind_hits / total if total else 0.0
+        report["timing_cache"] = block
         return report
 
     def _simulate(
@@ -1679,30 +1635,3 @@ class CostIntelligentWarehouse:
         if policy is None or not policy.recurring:
             return
         self.tuning.maybe_run_cycle()
-
-    def run_tuning_cycle(
-        self,
-        *,
-        apply: bool = False,
-        storage_budget_bytes: float | None = None,
-    ) -> AdvisorProposals:
-        """One advisor pass over the logged workload.
-
-        .. deprecated::
-            Thin shim over :attr:`tuning` for pre-redesign callers.
-            Prefer the typed lifecycle — ``warehouse.tuning.propose()``
-            returns :class:`~repro.tuning.service.Recommendation`\\ s
-            that can be applied *and rolled back* individually, with
-            background spend metered per tenant.
-
-        With ``apply=True``, accepted actions run on background compute
-        (physically when the warehouse holds data).
-        """
-        service = self.tuning
-        recommendations = service.propose(
-            storage_budget_bytes=storage_budget_bytes
-        )
-        if apply:
-            service.apply_all(recommendations)
-        assert service.last_proposals is not None
-        return service.last_proposals

@@ -58,12 +58,14 @@ mapping, so new observations never see stale numbers; catalog mutations
 bump ``Catalog.version``, which invalidates exact, skeleton, and
 binding entries by construction; ``CostEstimator.invalidate_caches()``
 handles the one out-of-band case (hardware/exchange recalibration).
-Caching is bit-identical to the uncached path, and the kernel to the
-original per-operator arithmetic — enforced by
-``tests/cost/test_timing_oracle.py``,
-``tests/cost/test_estimation_parity.py`` (including literal-varying
-skeleton reuse and batched-vs-per-candidate DOP rounds) and the A/B
-guard in ``benchmarks/bench_optimizer_throughput.py``.
+There is one estimation path, and test-side oracles keep it honest:
+``tests/cost/test_timing_oracle.py`` holds the kernel to a copy of the
+original per-operator arithmetic, and
+``tests/cost/test_estimation_parity.py`` holds the optimizer and the
+DOP planner (batched rounds included) to ``tests/dop/dop_oracle.py``, a
+per-candidate greedy search priced from cold, uncached timings; the
+parity guard in ``benchmarks/bench_optimizer_throughput.py`` re-checks
+served plans.
 ``CostIntelligentWarehouse.describe_caches()`` reports hit rates across
 every level.
 """

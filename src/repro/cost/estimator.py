@@ -22,10 +22,9 @@ from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
 class CostEstimator:
     """Predicts latency / machine time / dollars for plan fragments.
 
-    ``enable_cache=True`` (the default) memoizes pipeline volumes and
-    timings behind :mod:`repro.cost.timing_cache` and per-DAG scan fees;
-    results are bit-identical to the uncached path (the flag exists for
-    A/B benchmarking and as an escape hatch).
+    Pipeline volumes and timings are memoized behind
+    :mod:`repro.cost.timing_cache`, and scan fees per DAG; results are
+    bit-identical to cold computation.
     """
 
     def __init__(
@@ -34,30 +33,22 @@ class CostEstimator:
         exchange_calibration: ExchangeCalibration | None = None,
         *,
         price_per_node_second: float | None = None,
-        enable_cache: bool = True,
     ) -> None:
         self.hw = hardware or HardwareCalibration()
-        self.models = OperatorModels(
-            self.hw, exchange_calibration, enable_cache=enable_cache
-        )
+        self.models = OperatorModels(self.hw, exchange_calibration)
         self.price_per_node_second = (
             price_per_node_second
             if price_per_node_second is not None
             else self.hw.node.price_per_second
         )
-        self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] | None = (
-            WeakKeyDictionary() if enable_cache else None
+        self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] = (
+            WeakKeyDictionary()
         )
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self.models.cache is not None
 
     def invalidate_caches(self) -> None:
         """Drop all memoized state (after hardware/model recalibration)."""
         self.models.invalidate_cache()
-        if self._scan_dollars_cache is not None:
-            self._scan_dollars_cache.clear()
+        self._scan_dollars_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -107,7 +98,7 @@ class CostEstimator:
         dop: int,
         overrides: dict[int, float] | None = None,
     ) -> PipelineTiming:
-        """Timing of one pipeline (memoized when caching is enabled)."""
+        """Timing of one pipeline (memoized)."""
         return self.models.pipeline_timing(pipeline, dop, overrides)
 
     def estimate_plan(
@@ -131,9 +122,7 @@ class CostEstimator:
     # ------------------------------------------------------------------ #
     def scan_request_dollars(self, dag: PipelineDag) -> float:
         """Object-store GET fees for the plan's scans (DOP-independent,
-        memoized per DAG when caching is enabled)."""
-        if self._scan_dollars_cache is None:
-            return self._compute_scan_request_dollars(dag)
+        memoized per DAG)."""
         dollars = self._scan_dollars_cache.get(dag)
         if dollars is None:
             dollars = self._compute_scan_request_dollars(dag)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.regression import ExchangeCalibration
 from repro.cost.timing_cache import TimingCache
-from repro.cost.volumes import OpVolume, pipeline_volumes
+from repro.cost.volumes import OpVolume
 from repro.errors import EstimationError
 from repro.plan.physical import (
     ExchangeKind,
@@ -140,14 +140,12 @@ class OperatorModels:
         self,
         hardware: HardwareCalibration | None = None,
         exchange_calibration: ExchangeCalibration | None = None,
-        *,
-        enable_cache: bool = True,
     ) -> None:
         self.hw = hardware or HardwareCalibration()
         self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
-        self.cache: TimingCache | None = TimingCache() if enable_cache else None
-        #: Count of actual timing-model evaluations (cache misses when the
-        #: cache is on, every call when it is off) — the benchmark metric.
+        self.cache = TimingCache()
+        #: Count of actual timing-model evaluations (timing-cache misses)
+        #: — the benchmark metric.
         self.timing_computations = 0
 
     # ------------------------------------------------------------------ #
@@ -161,19 +159,14 @@ class OperatorModels:
     ) -> PipelineTiming:
         """Duration of ``pipeline`` at ``dop`` (streaming bottleneck model).
 
-        Memoized per ``(pipeline, dop, overrides)`` when the timing cache
-        is enabled; the cached object is shared, treat it as read-only.
+        Memoized per ``(pipeline, dop, overrides)``; the cached object is
+        shared, treat it as read-only.
         """
-        if self.cache is None:
-            return self._compute_timing(
-                pipeline, dop, pipeline_volumes(pipeline, dop, overrides)
-            )
         return self.cache.timing(pipeline, dop, overrides, self._compute_timing)
 
     def invalidate_cache(self) -> None:
         """Drop memoized volumes/timings (after model recalibration)."""
-        if self.cache is not None:
-            self.cache.invalidate()
+        self.cache.invalidate()
 
     def _compute_timing(
         self, pipeline: Pipeline, dop: int, volumes: list[OpVolume]

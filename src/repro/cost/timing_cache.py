@@ -45,7 +45,7 @@ shared result is exactly the one its own computation would produce.
 Correctness contract (enforced by ``tests/cost/test_timing_oracle.py``
 against a copy of the original per-operator arithmetic, and by the
 parity suite in ``tests/cost/test_estimation_parity.py``): estimates
-are bit-identical with caching on or off.
+are bit-identical to cold, uncached computation.
 """
 
 from __future__ import annotations

@@ -151,26 +151,6 @@ class _IncrementalCoster:
         return results
 
 
-class _NaiveCoster:
-    """Full re-estimation per candidate (the pre-overhaul baseline, kept
-    behind ``DopPlanner(incremental=False)`` for A/B benchmarking)."""
-
-    def __init__(
-        self,
-        estimator: CostEstimator,
-        dag: PipelineDag,
-        overrides: dict[int, float] | None,
-    ) -> None:
-        self.estimator = estimator
-        self.dag = dag
-        self.overrides = overrides
-        self.evaluations = 0
-
-    def estimate(self, dops: dict[int, int]) -> CostEstimate:
-        self.evaluations += 1
-        return self.estimator.estimate_dag(self.dag, dops, self.overrides)
-
-
 @dataclass
 class DopPlan:
     """A DOP assignment plus its predicted cost profile."""
@@ -201,17 +181,10 @@ class DopPlanner:
         *,
         max_dop: int = 64,
         enforce_sla_strictly: bool = False,
-        incremental: bool = True,
-        batched: bool = True,
     ) -> None:
         self.estimator = estimator
         self.max_dop = max_dop
         self.enforce_sla_strictly = enforce_sla_strictly
-        self.incremental = incremental
-        #: Cost whole greedy growth rounds with one lean schedule sweep
-        #: (requires the incremental coster); ``batched=False`` keeps the
-        #: per-candidate full schedules for A/B parity checks.
-        self.batched = batched
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -222,8 +195,7 @@ class DopPlanner:
         constraint: Constraint,
         overrides: dict[int, float] | None = None,
     ) -> DopPlan:
-        coster_cls = _IncrementalCoster if self.incremental else _NaiveCoster
-        coster = coster_cls(self.estimator, dag, overrides)
+        coster = _IncrementalCoster(self.estimator, dag, overrides)
         if constraint.is_sla:
             dops, feasible = self._plan_for_sla(dag, constraint, overrides, coster)
         else:
@@ -250,7 +222,7 @@ class DopPlanner:
         dag: PipelineDag,
         constraint: Constraint,
         overrides: dict[int, float] | None,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
     ) -> tuple[dict[int, int], bool]:
         sla = constraint.bound()
         dops = {p.pipeline_id: 1 for p in dag}
@@ -277,32 +249,12 @@ class DopPlanner:
                 latency, dollars = polished_latency, polished_dollars
 
         # Phase 3: trim DOPs whose halving keeps the SLA and saves money.
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            dops = self._trim_batched(dops, latency, dollars, sla, feasible, coster)
-        else:
-            improved = True
-            while improved:
-                improved = False
-                for pid in sorted(dops):
-                    if dops[pid] <= 1:
-                        continue
-                    halved = max(1, dops[pid] // 2)
-                    trial_latency, trial_dollars = self._move_metrics(
-                        dops, pid, halved, coster
-                    )
-                    if trial_dollars < dollars and (
-                        trial_latency <= sla or not feasible
-                    ):
-                        dops = dict(dops)
-                        dops[pid] = halved
-                        latency, dollars = trial_latency, trial_dollars
-                        improved = True
+        dops = self._trim(dops, dollars, sla, feasible, coster)
         return dops, feasible
 
-    def _trim_batched(
+    def _trim(
         self,
         dops: dict[int, int],
-        latency: float,
         dollars: float,
         sla: float,
         feasible: bool,
@@ -339,7 +291,7 @@ class DopPlanner:
                     ):
                         dops = dict(dops)
                         dops[pid] = halved
-                        latency, dollars = trial_latency, trial_dollars
+                        dollars = trial_dollars
                         improved = True
                         applied = True
                         position = pids.index(pid) + 1
@@ -348,54 +300,35 @@ class DopPlanner:
                     break
         return dops
 
-    def _move_metrics(
-        self,
-        dops: dict[int, int],
-        pid: int,
-        new_dop: int,
-        coster: _IncrementalCoster | _NaiveCoster,
-    ) -> tuple[float, float]:
-        """``(latency, total_dollars)`` of one single-pipeline move."""
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            return coster.sweep(dops, [(pid, new_dop)])[0]
-        trial = dict(dops)
-        trial[pid] = new_dop
-        estimate = coster.estimate(trial)
-        return estimate.latency, estimate.total_dollars
-
     def _assignment_metrics(
         self,
         dops: dict[int, int],
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
     ) -> tuple[float, float]:
         """``(latency, total_dollars)`` of a whole assignment.
 
-        Batched mode evaluates it as a sweep over one no-op move (the
-        base assignment is ``dops`` itself), reusing the bit-identical
-        lean scheduling path instead of materializing a full estimate.
+        Evaluated as a sweep over one no-op move (the base assignment is
+        ``dops`` itself), reusing the bit-identical lean scheduling path
+        instead of materializing a full estimate.
         """
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            pid = next(iter(dops))
-            return coster.sweep(dops, [(pid, dops[pid])])[0]
-        estimate = coster.estimate(dops)
-        return estimate.latency, estimate.total_dollars
+        pid = next(iter(dops))
+        return coster.sweep(dops, [(pid, dops[pid])])[0]
 
     def _best_growth_move(
         self,
         dops: dict[int, int],
         current_latency: float,
         current_dollars: float,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
         budget: float | None = None,
     ) -> tuple[dict[int, int], float, float] | None:
         """The doubling with the best latency gain per added dollar.
 
         With ``budget`` set (budget mode), moves that break the budget
         are discarded.  Returns the mutated assignment plus its metrics.
-        Batched mode scores the whole round from one sweep; the metrics
-        are bit-identical to per-candidate full estimates, so the winner
-        (and therefore the search trajectory) is exactly the
-        per-candidate one.
+        The whole round is scored from one sweep; the metrics are
+        bit-identical to per-candidate full estimates, so the winner (and
+        therefore the search trajectory) is exactly the per-candidate one.
         """
         candidates = [
             (pid, min(self.max_dop, dops[pid] * 2))
@@ -404,15 +337,7 @@ class DopPlanner:
         ]
         if not candidates:
             return None
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            metrics = coster.sweep(dops, candidates, prune_gainless=True)
-        else:
-            metrics = []
-            for pid, new_dop in candidates:
-                trial = dict(dops)
-                trial[pid] = new_dop
-                estimate = coster.estimate(trial)
-                metrics.append((estimate.latency, estimate.total_dollars))
+        metrics = coster.sweep(dops, candidates, prune_gainless=True)
 
         best: tuple[float, int, int, float, float] | None = None
         for (pid, new_dop), (latency, dollars) in zip(candidates, metrics):
@@ -439,7 +364,7 @@ class DopPlanner:
         dag: PipelineDag,
         constraint: Constraint,
         overrides: dict[int, float] | None,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
     ) -> tuple[dict[int, int], bool]:
         budget = constraint.bound()
         dops = {p.pipeline_id: 1 for p in dag}

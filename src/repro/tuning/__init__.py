@@ -48,7 +48,6 @@ from repro.tuning.service import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
     TuningAction,
     TuningPolicy,
     TuningService,
@@ -68,7 +67,6 @@ __all__ = [
     "TuningAction",
     "MaterializeView",
     "Recluster",
-    "ResizeWarehouse",
     "Recommendation",
     "RecommendationState",
     "TuningPolicy",

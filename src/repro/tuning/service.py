@@ -6,10 +6,9 @@ paper's §4 loop (Statistics Service -> What-If pricing -> background
 compute) keeps its components, but the API around them becomes:
 
 - :class:`TuningAction` — a frozen, typed action hierarchy
-  (:class:`MaterializeView`, :class:`Recluster`, the future
-  :class:`ResizeWarehouse`).  Each action *carries its candidate object*
-  end-to-end, so nothing downstream ever re-derives a candidate by
-  parsing ``action_name`` strings (the old
+  (:class:`MaterializeView`, :class:`Recluster`).  Each action *carries
+  its candidate object* end-to-end, so nothing downstream ever
+  re-derives a candidate by parsing ``action_name`` strings (the old
   ``recluster_<table>_on_<key>`` round-trip broke for identifiers that
   contain ``_on_`` and silently skipped MVs whose template binding had
   gone stale).
@@ -110,23 +109,6 @@ class Recluster(TuningAction):
     @property
     def name(self) -> str:
         return self.candidate.name
-
-
-@dataclass(frozen=True)
-class ResizeWarehouse(TuningAction):
-    """Change the warehouse's node count (future action kind).
-
-    Typed now so the lifecycle and report plumbing are in place; the
-    background executor for it does not exist yet, so applying one
-    raises :class:`~repro.errors.TuningError`.
-    """
-
-    target_nodes: int
-    kind: ClassVar[str] = "resize-warehouse"
-
-    @property
-    def name(self) -> str:
-        return f"resize_warehouse_to_{self.target_nodes}"
 
 
 # --------------------------------------------------------------------- #
@@ -270,9 +252,7 @@ class TuningService:
     """The warehouse's persistent auto-tuning service.
 
     Owns one What-If Service, one advisor, and one background-compute
-    executor for the warehouse's lifetime (the old
-    ``run_tuning_cycle`` reconstructed all three per call), keeps the
-    full :class:`Recommendation` history, and guarantees serving-layer
+    executor for the warehouse's lifetime, keeps the full :class:`Recommendation` history, and guarantees serving-layer
     coherence: every apply/rollback flushes the plan, skeleton, and
     binding caches plus the advisor's template bindings, and registers /
     unregisters applied MVs with the serving path's rewriter.

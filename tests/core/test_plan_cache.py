@@ -169,6 +169,8 @@ def test_use_plan_cache_false_bypasses(warehouse):
 def test_plan_cache_disabled_by_size_zero(tpch_db):
     warehouse = CostIntelligentWarehouse(tpch_db, plan_cache_size=0)
     assert warehouse.plan_cache is None
+    assert warehouse.skeleton_cache is None
+    assert warehouse.binding_cache is None
     constraint = sla_constraint(12.0)
     warehouse.submit(Q1, constraint)
     warehouse.submit(Q1, constraint)  # no cache, no crash
@@ -207,16 +209,6 @@ def test_binding_shared_across_constraints(warehouse):
     second = warehouse.submit(sql, budget_constraint(0.05))
     assert warehouse.binding_cache.hits == 1
     assert second.record.sql == first.record.sql
-
-
-def test_parameterized_serving_disabled_restores_pr1_path(tpch_db):
-    warehouse = CostIntelligentWarehouse(tpch_db, parameterized_serving=False)
-    assert warehouse.skeleton_cache is None
-    assert warehouse.binding_cache is None
-    constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
-    warehouse.submit(Q1, constraint)
-    assert warehouse.plan_cache.hits == 1  # exact level still works
 
 
 def test_describe_caches_reports_all_levels(warehouse):

@@ -19,7 +19,6 @@ from repro import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
     Session,
     TenantBudget,
     TuningAction,
@@ -66,7 +65,6 @@ EXPECTED_ALL = [
     "TuningAction",
     "MaterializeView",
     "Recluster",
-    "ResizeWarehouse",
     "Recommendation",
     "RecommendationState",
     "TuningPolicy",
@@ -380,32 +378,27 @@ def test_recommendation_lifecycle_surface():
 def test_tuning_actions_are_frozen_and_typed():
     import dataclasses
 
-    for action_cls in (MaterializeView, Recluster, ResizeWarehouse):
+    for action_cls in (MaterializeView, Recluster):
         assert issubclass(action_cls, TuningAction)
         assert dataclasses.is_dataclass(action_cls)
         assert action_cls.__dataclass_params__.frozen
     assert MaterializeView.kind == "materialized-view"
     assert Recluster.kind == "recluster"
-    assert ResizeWarehouse(target_nodes=8).name == "resize_warehouse_to_8"
 
 
-def test_run_tuning_cycle_shim_signature_and_silence(stats_warehouse):
-    """The legacy tuning entry point keeps its keyword surface and stays
-    silent (shim, not a deprecation trap)."""
-    signature = inspect.signature(CostIntelligentWarehouse.run_tuning_cycle)
-    assert list(signature.parameters) == [
-        "self",
-        "apply",
-        "storage_budget_bytes",
-    ]
-    for i in range(3):
-        stats_warehouse.submit(
-            "SELECT count(*) AS c FROM orders WHERE o_totalprice > 100",
-            sla_constraint(15.0),
-            template="counts",
-            at_time=float(i * 60),
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        proposals = stats_warehouse.run_tuning_cycle(apply=False)
-    assert proposals is stats_warehouse.tuning.last_proposals
+def test_one_planning_path_has_no_ab_switches():
+    """Planning has a single path: no constructor selects an older one,
+    and the tuning shim and the unexecutable resize action are gone."""
+    from repro.cost.operator_models import OperatorModels
+
+    removed = {
+        CostIntelligentWarehouse: {"parameterized_serving"},
+        repro.BiObjectiveOptimizer: {"incremental_dop", "memoize_dag"},
+        repro.DopPlanner: {"incremental", "batched"},
+        repro.CostEstimator: {"enable_cache"},
+        OperatorModels: {"enable_cache"},
+    }
+    for cls, names in removed.items():
+        assert names.isdisjoint(inspect.signature(cls).parameters), cls
+    assert not hasattr(CostIntelligentWarehouse, "run_tuning_cycle")
+    assert not hasattr(repro, "ResizeWarehouse")

@@ -1,11 +1,13 @@
-"""Parity suite: the cached/incremental hot path must be bit-identical.
+"""Parity suite: the optimizer hot path must be bit-identical to oracles.
 
-The optimizer overhaul (timing cache + incremental DAG re-costing) is a
-pure performance change: across every TPC-H template, both constraint
-kinds, and with/without cardinality overrides, the fast path must return
-*exactly* the same `CostEstimate`s and choose *exactly* the same plans
-as the naive path it replaced.  Float comparisons here are deliberately
-`==`, not approx.
+The timing cache, incremental DAG re-costing, batched greedy rounds, the
+DAG-planning memo and the serving caches are pure performance: across
+every TPC-H template, ad-hoc star joins, both constraint kinds, and
+with/without cardinality overrides, production must return *exactly*
+the `CostEstimate`s and plans of ``tests/dop/dop_oracle.py`` — a cold,
+uncached, per-candidate search — and served plans must equal cold
+``use_plan_cache=False`` submissions.  Float comparisons here are
+deliberately `==`, not approx.
 """
 
 import pytest
@@ -15,9 +17,13 @@ from repro.cost.estimator import CostEstimator
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.dop.planner import DopPlanner
 from repro.plan.pipelines import decompose_pipelines
+from repro.workloads.adhoc import AdhocQueryGenerator
 from repro.workloads.tpch_queries import instantiate, template_names
+from tests.dop.dop_oracle import ColdEstimator, OracleDopPlanner, OracleOptimizer
 
 CONSTRAINTS = [sla_constraint(12.0), budget_constraint(0.05)]
+#: The ad-hoc star joins ``tests/cost/test_timing_oracle.py`` times.
+ADHOC_PLANS = 24
 
 
 def assert_estimates_identical(a, b):
@@ -42,12 +48,10 @@ def assert_estimates_identical(a, b):
 @pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
 def test_optimizer_parity_all_templates(big_catalog, big_binder, template, constraint):
     bound = big_binder.bind_sql(instantiate(template, seed=1))
-    naive = BiObjectiveOptimizer(
-        big_catalog, CostEstimator(enable_cache=False), incremental_dop=False
-    ).optimize(bound, constraint)
-    fast = BiObjectiveOptimizer(
-        big_catalog, CostEstimator(enable_cache=True), incremental_dop=True
-    ).optimize(bound, constraint)
+    naive = OracleOptimizer(big_catalog, ColdEstimator()).optimize(bound, constraint)
+    fast = BiObjectiveOptimizer(big_catalog, CostEstimator()).optimize(
+        bound, constraint
+    )
 
     assert fast.dop_plan.dops == naive.dop_plan.dops
     assert fast.variant_index == naive.variant_index
@@ -57,24 +61,52 @@ def test_optimizer_parity_all_templates(big_catalog, big_binder, template, const
     assert_estimates_identical(fast.dop_plan.estimate, naive.dop_plan.estimate)
 
 
-@pytest.mark.parametrize("template", ["q5_local_supplier", "q18_large_orders"])
+def assert_dop_plans_identical(dag, constraint, overrides=None):
+    """Production DOP search == the cold per-candidate oracle."""
+    naive = OracleDopPlanner(ColdEstimator()).plan(dag, constraint, overrides)
+    fast = DopPlanner(CostEstimator()).plan(dag, constraint, overrides)
+    assert fast.dops == naive.dops
+    assert fast.feasible == naive.feasible
+    assert_estimates_identical(fast.estimate, naive.estimate)
+
+
+def scaled_scan_overrides(dag, factor: float = 3.0) -> dict[int, float]:
+    scan = dag.topological_order()[0].ops[0].node
+    return {scan.node_id: float(scan.est_rows) * factor}
+
+
+@pytest.mark.parametrize("template", template_names())
 @pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
 def test_dop_planner_parity_with_overrides(
     big_binder, big_planner, template, constraint
 ):
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
     dag = decompose_pipelines(plan)
-    scan = dag.topological_order()[0].ops[0].node
-    for overrides in (None, {scan.node_id: float(scan.est_rows) * 3.0}):
-        naive = DopPlanner(CostEstimator(enable_cache=False), incremental=False).plan(
-            dag, constraint, overrides
-        )
-        fast = DopPlanner(CostEstimator(enable_cache=True), incremental=True).plan(
-            dag, constraint, overrides
-        )
-        assert fast.dops == naive.dops
-        assert fast.feasible == naive.feasible
-        assert_estimates_identical(fast.estimate, naive.estimate)
+    for overrides in ({}, scaled_scan_overrides(dag)):
+        assert_dop_plans_identical(dag, constraint, overrides)
+
+
+@pytest.fixture(scope="module")
+def adhoc_dags(big_binder, big_planner):
+    return [
+        decompose_pipelines(big_planner.plan(big_binder.bind_sql(sql)))
+        for sql in AdhocQueryGenerator(seed=11).batch(ADHOC_PLANS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [*CONSTRAINTS, sla_constraint(3.0)],
+    ids=["sla", "budget", "tight-sla"],
+)
+def test_dop_planner_parity_adhoc_plans(adhoc_dags, constraint):
+    """The ad-hoc star joins: other shapes, sizes and sibling groups
+    than the TPC-H templates.  All of them run at DOP 1 under the 12 s
+    SLA; the 3 s SLA makes the search grow, trim, and give up on a
+    few."""
+    for dag in adhoc_dags:
+        for overrides in (None, scaled_scan_overrides(dag)):
+            assert_dop_plans_identical(dag, constraint, overrides)
 
 
 @pytest.mark.parametrize("template", template_names())
@@ -112,35 +144,36 @@ def test_batched_greedy_rounds_parity(big_binder, big_planner, template, constra
     """Batched round costing (one lean sweep per greedy round) must pick
     exactly the DOP plans per-candidate costing picks."""
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
-    dag = decompose_pipelines(plan)
-    per_candidate = DopPlanner(CostEstimator(), batched=False).plan(dag, constraint)
-    batched = DopPlanner(CostEstimator(), batched=True).plan(dag, constraint)
-    assert batched.dops == per_candidate.dops
-    assert batched.feasible == per_candidate.feasible
-    assert_estimates_identical(batched.estimate, per_candidate.estimate)
+    assert_dop_plans_identical(decompose_pipelines(plan), constraint)
 
 
 def test_warehouse_parameterized_serving_parity(big_catalog):
-    """The full serving path (two-level cache, skeleton reuse, DAG memo,
-    batched rounds) returns plans bit-identical to PR 1's exact-match
-    serving path for every literal-varying arrival."""
+    """The full serving path (exact, skeleton and binding caches, DAG
+    memo, batched rounds) returns plans bit-identical to cold
+    ``use_plan_cache=False`` submissions on a warehouse that has served
+    nothing else, for every literal-varying arrival."""
+    from repro.core.service import QueryRequest
     from repro.core.warehouse import CostIntelligentWarehouse
 
-    reference = CostIntelligentWarehouse(
-        catalog=big_catalog, parameterized_serving=False
-    )
-    reference.optimizer._dag_memo = None
-    reference.optimizer.dop_planner.batched = False
     parameterized = CostIntelligentWarehouse(catalog=big_catalog)
-
+    cold = CostIntelligentWarehouse(catalog=big_catalog).session(tenant="oracle")
     for template in template_names():
         for seed in (1, 2, 3):
             sql = instantiate(template, seed=seed)
             for constraint in CONSTRAINTS:
-                _, expected = reference.plan(sql, constraint)
                 _, actual = parameterized.plan(sql, constraint)
+                handle = cold.submit(
+                    QueryRequest(
+                        sql=sql,
+                        constraint=constraint,
+                        use_plan_cache=False,
+                        simulate=False,
+                    )
+                )
+                expected = handle.result().choice
                 assert actual.dop_plan.dops == expected.dop_plan.dops
                 assert actual.variant_index == expected.variant_index
+                assert actual.join_tree.describe() == expected.join_tree.describe()
                 assert_estimates_identical(
                     actual.dop_plan.estimate, expected.dop_plan.estimate
                 )
@@ -188,20 +221,16 @@ def test_lean_sweep_matches_full_estimates(big_binder, big_planner):
 
 def test_incremental_search_times_fewer_pipelines(big_catalog, big_binder):
     """The hot-path contract over the template pool: >=5x fewer
-    timing-model evaluations than the naive search (the acceptance
-    criterion the throughput benchmark also enforces)."""
+    timing-model evaluations than the cold per-candidate oracle (the
+    acceptance criterion the throughput benchmark also enforces)."""
     bounds = [
         big_binder.bind_sql(instantiate(name, seed=1)) for name in template_names()
     ]
 
-    naive_estimator = CostEstimator(enable_cache=False)
-    naive_optimizer = BiObjectiveOptimizer(
-        big_catalog, naive_estimator, incremental_dop=False
-    )
-    fast_estimator = CostEstimator(enable_cache=True)
-    fast_optimizer = BiObjectiveOptimizer(
-        big_catalog, fast_estimator, incremental_dop=True
-    )
+    naive_estimator = ColdEstimator()
+    naive_optimizer = OracleOptimizer(big_catalog, naive_estimator)
+    fast_estimator = CostEstimator()
+    fast_optimizer = BiObjectiveOptimizer(big_catalog, fast_estimator)
     for bound in bounds:
         for constraint in CONSTRAINTS:
             naive_optimizer.optimize(bound, constraint)

@@ -12,6 +12,7 @@ from repro.cost.timing_cache import (
 from repro.cost.volumes import pipeline_volumes
 from repro.plan.pipelines import decompose_pipelines
 from repro.workloads.tpch_queries import instantiate
+from tests.dop.dop_oracle import ColdEstimator, ColdModels
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def q5_dag(big_binder, big_planner):
 
 
 def fresh_estimator() -> CostEstimator:
-    return CostEstimator(enable_cache=True)
+    return CostEstimator()
 
 
 # ------------------------------ keys ---------------------------------- #
@@ -286,7 +287,7 @@ def test_overrides_keyed_separately(q5_dag):
 
 def test_cached_matches_uncached_exactly(q5_dag):
     cached = fresh_estimator()
-    uncached = CostEstimator(enable_cache=False)
+    uncached = ColdEstimator()
     scan_node = q5_dag.topological_order()[0].ops[0].node
     for dop in (1, 3, 16):
         for overrides in (None, {}, {scan_node.node_id: 5e6}):
@@ -368,7 +369,7 @@ def test_concurrent_lookups_return_uncached_results(big_binder, big_planner):
     dag = decompose_pipelines(
         big_planner.plan(big_binder.bind_sql(instantiate("q5_local_supplier", seed=2)))
     )
-    uncached = CostEstimator(enable_cache=False).models
+    uncached = ColdModels()
     scan = dag.topological_order()[0].ops[0].node
     mappings = [None, {}, {scan.node_id: float(scan.est_rows) * 2.0}]
     cases = [(p, dop, o) for p in dag for dop in (1, 4, 12, 64) for o in mappings]

@@ -1,6 +1,6 @@
 """Bit-identity of the timing kernel against the original arithmetic.
 
-The cache-on/cache-off parity suite compares the kernel with itself;
+The cached-vs-cold parity suite compares the kernel with itself;
 this suite compares it with ``timing_oracle``, a copy of the original
 one-``OpTime``-per-operator model.  Every field is compared bit for bit
 (``struct``-packed), so ``-0.0``/``0.0`` or rounding drift cannot hide.
@@ -24,6 +24,7 @@ from repro.util.rng import derive_rng
 from repro.workloads.adhoc import AdhocQueryGenerator
 from repro.workloads.tpch_queries import instantiate, template_names
 from tests.cost import timing_oracle
+from tests.dop.dop_oracle import ColdModels
 
 DOPS = [1, 2, 3, 5, 8, 12, 17, 31, 48, 64]
 OVERRIDE_MODES = ["none", "empty", "foreign", "own"]
@@ -45,7 +46,7 @@ def model_variants() -> dict[str, OperatorModels]:
     )
     return {
         "default": OperatorModels(),
-        "uncached": OperatorModels(enable_cache=False),
+        "uncached": ColdModels(),
         "spill": OperatorModels(tiny_memory),
         "exchange": OperatorModels(HardwareCalibration(), recalibrated),
     }

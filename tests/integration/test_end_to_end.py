@@ -96,7 +96,8 @@ def test_tuning_cycle_applies_and_improves():
             simulate=False,
         )
         t += 600.0
-    proposals = wh.run_tuning_cycle(apply=True)
+    wh.tuning.apply_all(wh.tuning.propose())
+    proposals = wh.tuning.last_proposals
     applied_mvs = [
         r for r in proposals.accepted if r.kind == "materialized-view"
     ]

@@ -1,11 +1,13 @@
 """TuningService: typed recommendations, apply/rollback lifecycle, parity.
 
 Covers the PR 4 acceptance criteria: apply() -> rollback() round-trips
-restore bit-identical plans and catalog state for every action kind, the
-``run_tuning_cycle`` shim produces identical proposals and physical
-effects to the explicit TuningService path, and the old string-round-trip
-failure modes (missing template binding, ``_on_`` identifiers) are dead.
+restore bit-identical plans and catalog state for every action kind, and
+the old string-round-trip failure modes (missing template binding,
+``_on_`` identifiers) are dead.
 """
+
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
+    TuningAction,
     TuningPolicy,
     sla_constraint,
 )
@@ -230,48 +232,6 @@ def test_physical_roundtrips_on_real_data():
 
 
 # --------------------------------------------------------------------- #
-# Acceptance: shim parity
-# --------------------------------------------------------------------- #
-def test_run_tuning_cycle_shim_parity_with_service_path():
-    shim_wh = stats_warehouse()
-    service_wh = stats_warehouse()
-
-    shim_proposals = shim_wh.run_tuning_cycle(apply=True)
-    recs = service_wh.tuning.propose()
-    service_wh.tuning.apply_all(recs)
-    service_proposals = service_wh.tuning.last_proposals
-
-    def report_key(r):
-        return (r.action_name, r.kind, r.net_per_hour, r.one_time_dollars)
-
-    assert [report_key(r) for r in shim_proposals.reports] == [
-        report_key(r) for r in service_proposals.reports
-    ]
-    assert [report_key(r) for r in shim_proposals.accepted] == [
-        report_key(r) for r in service_proposals.accepted
-    ]
-    # Identical physical effects: same views, tables, clustering layout.
-    assert sorted(v.name for v in shim_wh.catalog.views()) == sorted(
-        v.name for v in service_wh.catalog.views()
-    )
-    assert sorted(shim_wh.catalog.table_names) == sorted(
-        service_wh.catalog.table_names
-    )
-    for name in shim_wh.catalog.table_names:
-        assert (
-            shim_wh.catalog.table(name).schema.clustering_key
-            == service_wh.catalog.table(name).schema.clustering_key
-        )
-    assert [
-        (e.action_name, e.kind, e.dollars, e.applied_physically)
-        for e in shim_wh.tuning.background.ledger
-    ] == [
-        (e.action_name, e.kind, e.dollars, e.applied_physically)
-        for e in service_wh.tuning.background.ledger
-    ]
-
-
-# --------------------------------------------------------------------- #
 # Regression: plan-cache coherence on apply (satellite 1)
 # --------------------------------------------------------------------- #
 def test_apply_invalidates_plan_and_skeleton_caches():
@@ -368,9 +328,20 @@ def test_lifecycle_transitions_enforced():
         wh.tuning.rollback(mv)  # double-rollback
 
 
-def test_resize_warehouse_action_is_typed_but_not_executable():
+@dataclass(frozen=True)
+class _UnexecutableAction(TuningAction):
+    """A typed action kind the background executor does not know."""
+
+    kind: ClassVar[str] = "unexecutable"
+
+    @property
+    def name(self) -> str:
+        return "unexecutable_action"
+
+
+def test_action_without_executor_fails_to_apply():
     wh = stats_warehouse()
-    action = ResizeWarehouse(target_nodes=8)
+    action = _UnexecutableAction()
     report = TuningReport(
         action_name=action.name,
         kind=action.kind,
@@ -380,7 +351,7 @@ def test_resize_warehouse_action_is_typed_but_not_executable():
     )
     rec = Recommendation(rec_id=905, action=action, report=report)
     wh.tuning.accept(rec)
-    with pytest.raises(TuningError):
+    with pytest.raises(TuningError, match="no background executor"):
         wh.tuning.apply(rec)
     assert rec.state is RecommendationState.FAILED
     assert rec.error is not None

@@ -137,7 +137,8 @@ def test_advisor_cycle_on_warehouse(tpch_db):
                 simulate=False,
             )
             t += 900.0
-    proposals = wh.run_tuning_cycle(apply=False)
+    wh.tuning.propose()
+    proposals = wh.tuning.last_proposals
     assert proposals.reports
     kinds = {r.kind for r in proposals.reports}
     assert "materialized-view" in kinds
